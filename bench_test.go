@@ -228,6 +228,33 @@ func BenchmarkCost_Reconstruct(b *testing.B) {
 	}
 }
 
+// BenchmarkCost_JoinProcessed is the cold-download reconstruction of
+// Eq. (2): the PSP served the public part resized to 540×540 (Lanczos)
+// and sharpened, and the join reverses that chain on the secret part.
+func BenchmarkCost_JoinProcessed(b *testing.B) {
+	jpegBytes, codec := cost720(b)
+	out, err := codec.SplitBytes(jpegBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	t := Resize(540, 540, FilterLanczos).Then(Sharpen(0.8, 0.4))
+	pub, err := DecodeImage(bytes.NewReader(out.PublicJPEG))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var served bytes.Buffer
+	if err := t.Apply(pub).EncodeJPEG(&served, 90); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := codec.JoinProcessedBytes(served.Bytes(), out.SecretBlob, t); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Facade allocation benchmarks: the reused Codec recycles its encode
 // scratch via sync.Pool, so its split path allocates measurably less than
 // back-to-back calls to the deprecated package-level Split. Compare with

@@ -106,7 +106,7 @@ func main() {
 	serving := flag.String("serving", "BENCH_serving.json",
 		"cmd/p3load trajectory file to merge into the report ('' = skip)")
 	gomaxprocs := flag.String("gomaxprocs", "",
-		"comma-separated GOMAXPROCS values to run the suite at (default \"1,N\" with N = max(NumCPU, 8))")
+		"comma-separated GOMAXPROCS values to run the suite at (default \"1,NumCPU\")")
 	flag.Parse()
 
 	procsList, err := parseProcsList(*gomaxprocs)
@@ -199,13 +199,12 @@ func main() {
 
 // parseProcsList parses the -gomaxprocs comma list. Empty selects the
 // default pair: 1 (the honest sequential cost, where pools run inline) and
-// max(NumCPU, 8) (the scaling story, oversubscribed on small hosts so the
-// parallel plumbing is still exercised). Duplicates are dropped preserving
-// order.
+// NumCPU (the scaling the host can actually deliver; one run on a
+// single-CPU host). Duplicates are dropped preserving order.
 func parseProcsList(s string) ([]int, error) {
 	var vals []int
 	if s == "" {
-		vals = []int{1, max(runtime.NumCPU(), 8)}
+		vals = []int{1, runtime.NumCPU()}
 	} else {
 		for _, f := range strings.Split(s, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(f))
