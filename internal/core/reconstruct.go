@@ -8,37 +8,21 @@ import (
 	"p3/internal/work"
 )
 
-// SecretPixelImages converts the secret part into the two pixel-domain
-// images needed for reconstruction under a PSP-side transform (Eq. (2)):
-// the secret image S = IDCT(x_s) and the correction image
-// C = IDCT((Ss − Ss²)·w), both at full resolution with chroma upsampled by
-// the same linear interpolation the public decode path uses.
-//
-// Unlike a normal decoded JPEG, S and C are *difference* images: no +128
-// level shift applies and samples range far outside [0, 255]. Callers must
-// not clamp them before summing.
-func SecretPixelImages(sec *jpegx.CoeffImage, threshold int) (s, c *jpegx.PlanarImage) {
-	return SecretPixelImagesPool(sec, threshold, nil)
-}
-
-// SecretPixelImagesPool is SecretPixelImages building the two images
-// concurrently on pool, each with its IDCT fanned out over bands. The
-// floating-point work per sample is unchanged, so the planes are
-// bit-identical to the sequential derivation.
-func SecretPixelImagesPool(sec *jpegx.CoeffImage, threshold int, pool *work.Pool) (s, c *jpegx.PlanarImage) {
-	_ = pool.Do(2, func(i int) error {
-		if i == 0 {
-			s = unshift(sec.ToPlanarPool(pool))
-		} else {
-			c = unshift(CorrectionImagePool(sec, threshold, pool).ToPlanarPool(pool))
-		}
-		return nil
-	})
-	return s, c
+// differencePlane is the secret half of Eq. (2) in the pixel domain: the
+// single difference image D = IDCT(x_s + correction) = S + C at full
+// resolution, with chroma upsampled by the same linear interpolation the
+// public decode path uses. One IDCT replaces the two of the separate S and C
+// images; the sum differs from S + C only by the fixed-point IDCT's output
+// rounding, which now happens once instead of twice (≤ 1 LSB after the
+// final rounding).
+func differencePlane(sec *jpegx.CoeffImage, threshold int, pool *work.Pool) *jpegx.PlanarImage {
+	return unshift(foldCorrection(sec, threshold, pool).ToPlanarPool(pool))
 }
 
 // unshift removes the +128 JPEG level shift that ToPlanar applies, turning
-// a decoded plane into a pure linear term.
+// a decoded plane into a pure linear term: unlike a normal decoded JPEG, a
+// difference plane's samples range far outside [0, 255], and callers must
+// not clamp it before summing.
 func unshift(img *jpegx.PlanarImage) *jpegx.PlanarImage {
 	for _, p := range img.Planes {
 		for i := range p {
@@ -49,100 +33,92 @@ func unshift(img *jpegx.PlanarImage) *jpegx.PlanarImage {
 }
 
 // SecretPlanes is the variant-independent half of pixel-domain
-// reconstruction: the secret image S and correction image C of Eq. (2),
-// derived once per secret part. A PSP serves one photo as many renditions
-// (thumbnail, feed, full view), and every one of them applies its own
-// operator A to the *same* S and C — so a multi-variant consumer derives
-// the planes once and amortizes the secret part's IDCT across the whole
-// fan-out. Reconstruct does not mutate the planes; a SecretPlanes may be
-// shared by concurrent reconstructions.
+// reconstruction: the difference plane D of Eq. (2), derived once per
+// secret part. A PSP serves one photo as many renditions (thumbnail, feed,
+// full view), and every one of them applies its own operator A to the
+// *same* D — so a multi-variant consumer derives the plane once and
+// amortizes the secret part's IDCT across the whole fan-out. Reconstruct
+// does not mutate the plane; a SecretPlanes may be shared by concurrent
+// reconstructions.
 type SecretPlanes struct {
-	// S and C are unshifted difference images (no +128 level shift, samples
-	// far outside [0, 255]); see SecretPixelImages.
-	S, C *jpegx.PlanarImage
+	// D is the unshifted difference plane (no +128 level shift, samples far
+	// outside [0, 255]); see differencePlane.
+	D *jpegx.PlanarImage
 
-	// Threshold echoes the T the planes were derived at.
+	// Threshold echoes the T the plane was derived at.
 	Threshold int
 }
 
-// DeriveSecretPlanes computes the reusable secret and correction planes for
-// one secret part at full resolution.
+// DeriveSecretPlanes computes the reusable difference plane for one secret
+// part at full resolution.
 func DeriveSecretPlanes(sec *jpegx.CoeffImage, threshold int) *SecretPlanes {
 	return DeriveSecretPlanesPool(sec, threshold, nil)
 }
 
-// DeriveSecretPlanesPool is DeriveSecretPlanes with the two derivations
-// running concurrently on pool.
+// DeriveSecretPlanesPool is DeriveSecretPlanes with the correction fold and
+// the IDCT fanned out over bands on pool.
 func DeriveSecretPlanesPool(sec *jpegx.CoeffImage, threshold int, pool *work.Pool) *SecretPlanes {
-	s, c := SecretPixelImagesPool(sec, threshold, pool)
-	return &SecretPlanes{S: s, C: c, Threshold: threshold}
+	return &SecretPlanes{D: differencePlane(sec, threshold, pool), Threshold: threshold}
 }
 
-// DeriveSecretPlanesScaledPool derives the planes at 1/denom of full
+// DeriveSecretPlanesScaledPool derives the plane at 1/denom of full
 // resolution (denom ∈ {1, 2, 4, 8}) through the scaled inverse DCT: each
 // plane sample is the exact box average of the denom×denom full-resolution
 // samples it covers, at 1/denom² of the IDCT work. A consumer serving a
-// rendition no larger than the scaled planes (e.g. a thumbnail) resizes
-// from them instead of from full resolution; the result differs from the
+// rendition no larger than the scaled plane (e.g. a thumbnail) resizes
+// from it instead of from full resolution; the result differs from the
 // full-resolution chain only by the box prefilter, which the rendition's
 // own decimation dominates.
 func DeriveSecretPlanesScaledPool(sec *jpegx.CoeffImage, threshold, denom int, pool *work.Pool) (*SecretPlanes, error) {
-	var s, c *jpegx.PlanarImage
-	err := pool.Do(2, func(i int) error {
-		if i == 0 {
-			im, err := sec.ToPlanarScaledPool(denom, pool)
-			if err != nil {
-				return err
-			}
-			s = unshift(im)
-			return nil
-		}
-		im, err := CorrectionImagePool(sec, threshold, pool).ToPlanarScaledPool(denom, pool)
-		if err != nil {
-			return err
-		}
-		c = unshift(im)
-		return nil
-	})
+	im, err := foldCorrection(sec, threshold, pool).ToPlanarScaledPool(denom, pool)
 	if err != nil {
 		return nil, err
 	}
-	return &SecretPlanes{S: s, C: c, Threshold: threshold}, nil
+	return &SecretPlanes{D: unshift(im), Threshold: threshold}, nil
 }
 
-// Reconstruct applies Eq. (2) for one served variant: op maps the planes'
+// Reconstruct applies Eq. (2) for one served variant: op maps the plane's
 // resolution onto the served public part's, exactly as it maps the original
 // photo onto that rendition.
 func (sp *SecretPlanes) Reconstruct(publicPix *jpegx.PlanarImage, op imaging.Op) (*jpegx.PlanarImage, error) {
-	return sp.ReconstructPool(publicPix, op, nil)
+	return sp.reconstructPool(publicPix, op, nil)
 }
 
-// ReconstructPool is Reconstruct with the two operator applications running
-// concurrently on pool.
-func (sp *SecretPlanes) ReconstructPool(publicPix *jpegx.PlanarImage, op imaging.Op, pool *work.Pool) (*jpegx.PlanarImage, error) {
+// reconstructPool is Reconstruct with the operator's planes transformed
+// concurrently on pool (see applyPlanes).
+func (sp *SecretPlanes) reconstructPool(publicPix *jpegx.PlanarImage, op imaging.Op, pool *work.Pool) (*jpegx.PlanarImage, error) {
 	if op == nil {
 		op = imaging.Identity{}
 	}
 	if !op.Linear() {
 		return nil, fmt.Errorf("core: operator %s is not linear; see ReconstructRemapped", op)
 	}
-	var st, ct *jpegx.PlanarImage
-	_ = pool.Do(2, func(i int) error {
-		if i == 0 {
-			st = op.Apply(sp.S)
-		} else {
-			ct = op.Apply(sp.C)
-		}
+	return addParts(publicPix, applyPlanes(op, sp.D, pool))
+}
+
+// applyPlanes is op.Apply(img) with each plane transformed as its own task
+// on pool. Operators act on every plane alone (see imaging.Op), so the
+// result is bit-identical to op.Apply(img); a nil pool applies op directly.
+func applyPlanes(op imaging.Op, img *jpegx.PlanarImage, pool *work.Pool) *jpegx.PlanarImage {
+	if pool.Size() == 1 || len(img.Planes) == 1 {
+		return op.Apply(img)
+	}
+	outs := make([]*jpegx.PlanarImage, len(img.Planes))
+	_ = pool.Do(len(outs), func(i int) error {
+		outs[i] = op.Apply(&jpegx.PlanarImage{Width: img.Width, Height: img.Height, Planes: img.Planes[i : i+1]})
 		return nil
 	})
-	return addParts(publicPix, st, ct)
+	out := &jpegx.PlanarImage{Width: outs[0].Width, Height: outs[0].Height}
+	for _, o := range outs {
+		out.Planes = append(out.Planes, o.Planes[0])
+	}
+	return out
 }
 
 // ReconstructPixelsMulti reconstructs several served variants of one photo
-// from a single secret part: the secret and correction planes derive once,
-// then every (publics[i], ops[i]) pair applies its own operator to the
-// shared planes. All operators must be linear. Results align with the
-// inputs.
+// from a single secret part: the difference plane derives once, then every
+// (publics[i], ops[i]) pair applies its own operator to the shared plane.
+// All operators must be linear. Results align with the inputs.
 func ReconstructPixelsMulti(publics []*jpegx.PlanarImage, sec *jpegx.CoeffImage, threshold int, ops []imaging.Op, pool *work.Pool) ([]*jpegx.PlanarImage, error) {
 	if len(publics) != len(ops) {
 		return nil, fmt.Errorf("core: %d public variants but %d operators", len(publics), len(ops))
@@ -153,7 +129,7 @@ func ReconstructPixelsMulti(publics []*jpegx.PlanarImage, sec *jpegx.CoeffImage,
 	sp := DeriveSecretPlanesPool(sec, threshold, pool)
 	out := make([]*jpegx.PlanarImage, len(publics))
 	err := pool.Do(len(publics), func(i int) error {
-		im, err := sp.ReconstructPool(publics[i], ops[i], pool)
+		im, err := sp.reconstructPool(publics[i], ops[i], pool)
 		if err != nil {
 			return fmt.Errorf("core: variant %d: %w", i, err)
 		}
@@ -166,24 +142,24 @@ func ReconstructPixelsMulti(publics []*jpegx.PlanarImage, sec *jpegx.CoeffImage,
 	return out, nil
 }
 
-// addParts sums the transformed secret and correction planes onto the served
-// public part — the final step of Eq. (2) — and clamps for display.
-func addParts(publicPix, st, ct *jpegx.PlanarImage) (*jpegx.PlanarImage, error) {
-	if st.Width != publicPix.Width || st.Height != publicPix.Height {
+// addParts sums the served public part into the transformed difference
+// plane d — the final step of Eq. (2) — and clamps for display. d is owned
+// by the caller (a fresh operator output), so the sum lands in it rather
+// than in a copy of the public part; publicPix is not modified.
+func addParts(publicPix, d *jpegx.PlanarImage) (*jpegx.PlanarImage, error) {
+	if d.Width != publicPix.Width || d.Height != publicPix.Height {
 		return nil, fmt.Errorf("core: transformed secret is %dx%d but public part is %dx%d — wrong operator?",
-			st.Width, st.Height, publicPix.Width, publicPix.Height)
+			d.Width, d.Height, publicPix.Width, publicPix.Height)
 	}
-	out := publicPix.Clone()
-	imaging.AddInto(out, st, 1)
-	imaging.AddInto(out, ct, 1)
-	return imaging.Clamp(out), nil
+	imaging.AddInto(d, publicPix, 1)
+	return imaging.Clamp(d), nil
 }
 
 // ReconstructPixels recombines in the pixel domain. publicPix is the decoded
 // public part — possibly after the PSP applied a transform — and op is the
 // transform the PSP applied (imaging.Identity{} when none). Per Eq. (2):
 //
-//	A·y = A·(public) + A·(secret) + A·(correction)
+//	A·y = A·(public) + A·(secret + correction)
 //
 // The returned image is the reconstructed photo, clamped to [0, 255].
 //
@@ -193,27 +169,13 @@ func ReconstructPixels(publicPix *jpegx.PlanarImage, sec *jpegx.CoeffImage, thre
 	return ReconstructPixelsPool(publicPix, sec, threshold, op, nil)
 }
 
-// ReconstructPixelsPool is ReconstructPixels with the secret and correction
-// chains (IDCT, upsample, PSP transform) running concurrently on pool. The
-// two chains touch disjoint images and the final sums are applied in a fixed
-// order, so the result is bit-identical to the sequential reconstruction.
+// ReconstructPixelsPool is ReconstructPixels with the correction fold and
+// the IDCT fanned out over bands on pool, and the operator applied to each
+// plane as its own task. Every sample is computed by the same
+// floating-point operations whatever the split, so the result is
+// bit-identical to the sequential reconstruction.
 func ReconstructPixelsPool(publicPix *jpegx.PlanarImage, sec *jpegx.CoeffImage, threshold int, op imaging.Op, pool *work.Pool) (*jpegx.PlanarImage, error) {
-	if op == nil {
-		op = imaging.Identity{}
-	}
-	if !op.Linear() {
-		return nil, fmt.Errorf("core: operator %s is not linear; see ReconstructRemapped", op)
-	}
-	var st, ct *jpegx.PlanarImage
-	_ = pool.Do(2, func(i int) error {
-		if i == 0 {
-			st = op.Apply(unshift(sec.ToPlanarPool(pool)))
-		} else {
-			ct = op.Apply(unshift(CorrectionImagePool(sec, threshold, pool).ToPlanarPool(pool)))
-		}
-		return nil
-	})
-	return addParts(publicPix, st, ct)
+	return DeriveSecretPlanesPool(sec, threshold, pool).reconstructPool(publicPix, op, pool)
 }
 
 // ReconstructRemapped handles the paper's §3.3 extension for one-to-one

@@ -311,8 +311,8 @@ func TestSplitJPEGDefaults(t *testing.T) {
 }
 
 // TestReconstructPixelsMultiMatchesSingle pins the shared-planes batch path
-// to the per-variant path bit for bit: deriving S and C once and applying N
-// operators must equal N independent ReconstructPixels calls.
+// to the per-variant path bit for bit: deriving the difference plane once
+// and applying N operators must equal N independent ReconstructPixels calls.
 func TestReconstructPixelsMultiMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	im := naturalImage(t, rng, 96, 80, jpegx.Sub444)

@@ -230,39 +230,36 @@ func ReconstructCoeffsInto(pub, sec *jpegx.CoeffImage, threshold int, dst *jpegx
 	return out, nil
 }
 
-// CorrectionImage derives the (Ss − Ss²)·w correction term of Eq. (1) as a
-// coefficient image: −2T at every position where the secret part is
-// negative, zero elsewhere. The paper notes (§3.3) this term depends only on
-// the secret part, so a recipient can compute it without the public image
-// and transform it alongside the secret when the PSP has processed the
-// public part.
-func CorrectionImage(sec *jpegx.CoeffImage, threshold int) *jpegx.CoeffImage {
-	return CorrectionImagePool(sec, threshold, nil)
-}
-
-// CorrectionImagePool is CorrectionImage with the derivation fanned out as
-// bands of block rows on pool.
-func CorrectionImagePool(sec *jpegx.CoeffImage, threshold int, pool *work.Pool) *jpegx.CoeffImage {
+// foldCorrection returns the secret part with Eq. (1)'s (Ss − Ss²)·w
+// correction term folded into its coefficients: x_s[k] − 2T wherever
+// x_s[k] < 0 (k ≥ 1), x_s[k] elsewhere. The correction depends only on the
+// secret part (§3.3) and shares its quantization tables, and Eq. (2) is
+// linear, so A·S + A·C = A·IDCT(x_s + correction): a recipient runs one
+// IDCT and one operator chain instead of two. sec is not modified. Bands of
+// block rows run on pool.
+func foldCorrection(sec *jpegx.CoeffImage, threshold int, pool *work.Pool) *jpegx.CoeffImage {
 	t := int32(threshold)
-	corr := sec.CloneShapeInto(nil)
+	out := sec.CloneShapeInto(nil)
 	bands := blockBands(sec, pool.Size())
 	_ = pool.Do(len(bands), func(i int) error {
 		b := bands[i]
-		cb := corr.Components[b.ci].Blocks
+		ob := out.Components[b.ci].Blocks
 		sb := sec.Components[b.ci].Blocks
 		bx := sec.Components[b.ci].BlocksX
 		for bi := b.r0 * bx; bi < b.r1*bx; bi++ {
-			c, s := &cb[bi], &sb[bi]
-			*c = jpegx.Block{}
+			o, s := &ob[bi], &sb[bi]
+			o[0] = s[0]
 			for k := 1; k < 64; k++ {
-				if s[k] < 0 {
-					c[k] = -2 * t
+				v := s[k]
+				if v < 0 {
+					v -= 2 * t
 				}
+				o[k] = v
 			}
 		}
 		return nil
 	})
-	return corr
+	return out
 }
 
 // GuessThreshold mounts the paper's threshold-guessing attack (§3.4). The

@@ -46,9 +46,7 @@ func BuildVariantSecret(sec *jpegx.CoeffImage, threshold int, op imaging.Op, w, 
 	if !op.Linear() {
 		return nil, fmt.Errorf("core: variant operator %s is not linear", op)
 	}
-	s, c := SecretPixelImages(sec, threshold)
-	imaging.AddInto(s, c, 1)
-	d := op.Apply(s)
+	d := op.Apply(differencePlane(sec, threshold, nil))
 	if d.Width != w || d.Height != h {
 		return nil, fmt.Errorf("core: operator produced %dx%d, want %dx%d", d.Width, d.Height, w, h)
 	}

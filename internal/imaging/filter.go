@@ -104,10 +104,13 @@ func (s Sharpen) Apply(src *jpegx.PlanarImage) *jpegx.PlanarImage {
 	if s.Amount == 0 || s.Sigma <= 0 {
 		return src.Clone()
 	}
-	blurred := GaussianBlur{Sigma: s.Sigma}.Apply(src)
-	out := src.Clone()
-	// out = src + a·src − a·blur
-	AddInto(out, src, s.Amount)
-	AddInto(out, blurred, -s.Amount)
+	// out = (src + a·src) + (−a)·blur over the blur buffer: the float
+	// operations, in order, of accumulating into a copy of src.
+	out := GaussianBlur{Sigma: s.Sigma}.Apply(src)
+	for pi, o := range out.Planes {
+		for i, v := range src.Planes[pi][:len(o)] {
+			o[i] = (v + s.Amount*v) + (-s.Amount)*o[i]
+		}
+	}
 	return out
 }

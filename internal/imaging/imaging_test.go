@@ -237,6 +237,53 @@ func TestSharpenIncreasesContrast(t *testing.T) {
 	}
 }
 
+// sharpenClone is the clone-based unsharp mask Sharpen.Apply replaced: copy
+// src, accumulate a·src, then accumulate −a·blur. Kept as the oracle for
+// the in-place formula.
+func sharpenClone(s Sharpen, src *jpegx.PlanarImage) *jpegx.PlanarImage {
+	blurred := GaussianBlur{Sigma: s.Sigma}.Apply(src)
+	out := src.Clone()
+	AddInto(out, src, s.Amount)
+	AddInto(out, blurred, -s.Amount)
+	return out
+}
+
+// TestSharpenMatchesCloneFormula pins Sharpen, which writes into its own
+// blur buffer, to the clone-based formula bit for bit, on images with the
+// unclamped negative samples a difference plane carries.
+func TestSharpenMatchesCloneFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, s := range []Sharpen{
+		{Sigma: 1, Amount: 1},
+		{Sigma: 0.6, Amount: 0.5},
+		{Sigma: 1.7, Amount: 0.35},
+		{Sigma: 0.8, Amount: -0.4},
+	} {
+		for _, planes := range []int{1, 3} {
+			src := randomImage(rng, 37, 29, planes)
+			for _, p := range src.Planes {
+				for i := range p {
+					p[i] = p[i]*3 - 380
+				}
+			}
+			orig := src.Clone()
+			got := s.Apply(src)
+			want := sharpenClone(s, src)
+			for pi := range want.Planes {
+				for i := range want.Planes[pi] {
+					if math.Float64bits(got.Planes[pi][i]) != math.Float64bits(want.Planes[pi][i]) {
+						t.Fatalf("%s plane %d sample %d: got %v, want %v",
+							s, pi, i, got.Planes[pi][i], want.Planes[pi][i])
+					}
+					if src.Planes[pi][i] != orig.Planes[pi][i] {
+						t.Fatalf("%s modified its input", s)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestGammaInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	src := randomImage(rng, 16, 16, 3)

@@ -6,11 +6,11 @@
 // The package distinguishes *linear* operators (resize, crop, convolution,
 // and their compositions) from non-linear ones (gamma). Linearity is the
 // property P3's reconstruction (paper §3.3, Eq. (2)) depends on: for a
-// linear A, A·y = A·x_pub + A·x_sec + A·corr, so a recipient can apply the
-// PSP's transform to the decrypted secret and correction images and add
-// them to the transformed public image. Operating on unclamped floats keeps
-// that equality exact: the secret and correction images take values far
-// outside [0,255].
+// linear A, A·y = A·x_pub + A·(x_sec + corr), so a recipient can apply the
+// PSP's transform to the difference image of the decrypted secret part and
+// its correction and add it to the transformed public image. Operating on
+// unclamped floats keeps that equality exact: the difference image takes
+// values far outside [0,255].
 package imaging
 
 import (
@@ -22,7 +22,9 @@ import (
 
 // Op is an image transformation. Linear reports whether the operator
 // commutes with addition and scalar multiplication of images, which is what
-// P3 reconstruction requires of PSP-side processing.
+// P3 reconstruction requires of PSP-side processing. Apply transforms each
+// plane on its own, never mixing samples across planes, so a caller may
+// apply an operator to the planes of an image separately.
 type Op interface {
 	Apply(src *jpegx.PlanarImage) *jpegx.PlanarImage
 	Linear() bool

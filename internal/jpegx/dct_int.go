@@ -7,8 +7,8 @@ import "math"
 // fixed point (libjpeg's jfdctint/jidctint): 12 multiplications per 1-D
 // pass, all arithmetic in int64 so no intermediate can overflow, results
 // within ±1 of the float transforms (pinned by FuzzIDCTFixedVsFloat). The
-// float matrix and AAN transforms in dct.go / dct_fast.go remain as the
-// differential references. Unlike libjpeg the IDCT does not range-limit its
+// float matrix transforms in dct.go remain as the differential reference.
+// Unlike libjpeg the IDCT does not range-limit its
 // output: P3's public and secret parts are valid coefficient images whose
 // sample planes legitimately exceed [0, 255], and reconstruction needs the
 // unclamped values (clamping is display's job; see imaging.Clamp).

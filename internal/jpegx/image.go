@@ -255,8 +255,8 @@ func (im *CoeffImage) DetectSubsampling() (Subsampling, error) {
 // PlanarImage is a full-resolution planar image: Y alone (grayscale) or
 // Y, Cb, Cr, each Width×Height (chroma already upsampled). Sample values are
 // in [0, 255] stored as float64 so that linear PSP transforms and P3's
-// pixel-domain reconstruction, which needs values outside [0,255] for the
-// secret and correction images, compose without clipping.
+// pixel-domain reconstruction, which needs values outside [0,255] for its
+// difference image, compose without clipping.
 type PlanarImage struct {
 	Width, Height int
 	Planes        [][]float64 // 1 or 3 planes, each Width*Height row-major

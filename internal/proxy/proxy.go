@@ -1002,6 +1002,28 @@ func statusFor(err error) int {
 	}
 }
 
+// maxUploadBytes bounds the body of a POST /upload.
+const maxUploadBytes = 64 << 20
+
+// readBody reads a request body of at most limit bytes. A body over the
+// limit — declared by Content-Length, or found by reading one byte past it —
+// is answered 413 instead of being cut short into a decode error; ok
+// reports whether the caller should go on.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	if r.ContentLength <= limit {
+		var err error
+		if body, err = io.ReadAll(io.LimitReader(r.Body, limit+1)); err != nil {
+			http.Error(w, "read error", http.StatusBadRequest)
+			return nil, false
+		}
+		if int64(len(body)) <= limit {
+			return body, true
+		}
+	}
+	http.Error(w, fmt.Sprintf("body over the %d-byte limit", limit), http.StatusRequestEntityTooLarge)
+	return nil, false
+}
+
 // ServeHTTP exposes the PSP's own API shape, making interposition
 // transparent to applications: POST /upload and GET /photo/{id}?… behave
 // exactly like the PSP, except photos are split on the way up and
@@ -1021,9 +1043,8 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/upload":
-		body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-		if err != nil {
-			http.Error(w, "read error", http.StatusBadRequest)
+		body, ok := readBody(w, r, maxUploadBytes)
+		if !ok {
 			return
 		}
 		id, err := p.Upload(r.Context(), body)

@@ -295,6 +295,67 @@ func TestUploadRejectedPropagates(t *testing.T) {
 	}
 }
 
+// zeros is an endless body that counts what a handler reads from it.
+type zeros struct{ read int64 }
+
+func (z *zeros) Read(p []byte) (int, error) {
+	clear(p)
+	z.read += int64(len(p))
+	return len(p), nil
+}
+
+// TestUploadOversizeIs413: a photo upload over the body limit is answered
+// 413 Request Entity Too Large, not cut short and reported as a 400 decode
+// error.
+func TestUploadOversizeIs413(t *testing.T) {
+	key, err := p3.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := p3.New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(codec, memPhotos{s: psp.NewServer(psp.FlickrLike())}, p3.NewMemorySecretStore())
+	body := &zeros{}
+	req := httptest.NewRequest(http.MethodPost, "/upload", io.LimitReader(body, maxUploadBytes+1))
+	req.ContentLength = maxUploadBytes + 1
+	w := httptest.NewRecorder()
+	p.ServeHTTP(w, req)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("declared oversize upload: %d, want 413", w.Code)
+	}
+	if body.read != 0 {
+		t.Errorf("read %d bytes of a body declared over the limit", body.read)
+	}
+	// A body under the limit still reaches the split, which rejects junk
+	// as the client's fault.
+	w = httptest.NewRecorder()
+	p.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/upload", bytes.NewReader([]byte("junk"))))
+	if w.Code != http.StatusBadRequest {
+		t.Errorf("junk upload: %d, want 400", w.Code)
+	}
+}
+
+// TestReadBodyLimit covers readBody on bodies with no declared length
+// (chunked uploads): one byte over the limit is 413, the limit itself is
+// read whole.
+func TestReadBodyLimit(t *testing.T) {
+	const limit = 1000
+	for _, n := range []int64{0, limit - 1, limit, limit + 1, 10 * limit} {
+		req := httptest.NewRequest(http.MethodPost, "/upload", io.LimitReader(&zeros{}, n))
+		req.ContentLength = -1
+		w := httptest.NewRecorder()
+		body, ok := readBody(w, req, limit)
+		if over := n > limit; ok == over || (over && w.Code != http.StatusRequestEntityTooLarge) {
+			t.Errorf("%d-byte body: ok=%v status %d", n, ok, w.Code)
+		}
+		if ok && int64(len(body)) != n {
+			t.Errorf("%d-byte body read as %d bytes", n, len(body))
+		}
+	}
+}
+
 // memPhotos adapts the in-process PSP server to p3.PhotoService directly —
 // no HTTP. Together with p3.MemorySecretStore it shows alternate backends
 // dropping into the proxy unchanged.

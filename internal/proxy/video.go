@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -205,9 +204,8 @@ func (p *Proxy) DownloadVideo(ctx context.Context, id string, q url.Values) (_ [
 func (p *Proxy) serveVideoHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/video/upload":
-		body, err := io.ReadAll(io.LimitReader(r.Body, p.videoMaxBytes+1))
-		if err != nil {
-			http.Error(w, "read error", http.StatusBadRequest)
+		body, ok := readBody(w, r, p.videoMaxBytes)
+		if !ok {
 			return
 		}
 		id, frames, err := p.UploadVideo(r.Context(), body)

@@ -255,15 +255,30 @@ func TestVideoHTTPRoutes(t *testing.T) {
 		t.Errorf("garbage upload: %d", resp.StatusCode)
 	}
 
-	// An upload over the configured bound bounces without being split.
+	// An upload over the configured bound bounces as 413 without being
+	// split, whether its length is declared or only found by reading
+	// (a chunked body); one at the bound is read and fails as garbage.
 	big := make([]byte, 1<<20+1)
-	resp, err = http.Post(srv.URL+"/video/upload", "application/octet-stream", bytes.NewReader(big))
+	for name, body := range map[string]io.Reader{
+		"declared": bytes.NewReader(big),
+		"chunked":  io.MultiReader(bytes.NewReader(big)),
+	} {
+		resp, err = http.Post(srv.URL+"/video/upload", "application/octet-stream", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s oversize upload: %d, want 413", name, resp.StatusCode)
+		}
+	}
+	resp, err = http.Post(srv.URL+"/video/upload", "application/octet-stream", bytes.NewReader(big[:1<<20]))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversize upload: %d", resp.StatusCode)
+		t.Errorf("upload at the bound: %d, want 400", resp.StatusCode)
 	}
 }
 
